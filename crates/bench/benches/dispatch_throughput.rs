@@ -980,8 +980,8 @@ fn main() {
     // plane (lease admit + TTL sweep, accept-loop rate gate, usage
     // counters on the drain path) must cost no more than the noise
     // floor against the identical unleased configuration, measured as
-    // interleaved pairs in sweep 5. Lease bookkeeping lives on the
-    // control thread and per-batch counters are a handful of relaxed
+    // interleaved pairs in sweep 5. Lease bookkeeping lives in the
+    // control plane and per-batch counters are a handful of relaxed
     // atomics — if this gate trips, a hook leaked into the per-frame
     // hot path.
     let leased_rate = driver_rate("deferred+event+leased");

@@ -208,6 +208,9 @@ pub struct Device {
     active_ctx: Option<CtxId>,
     context_switches: u64,
     fault_log: Vec<FaultRecord>,
+    /// Faults ever recorded, including records already taken out of
+    /// `fault_log`.
+    faults_total: u64,
     kernel_stats: HashMap<String, KernelAgg>,
     launches: u64,
 }
@@ -253,6 +256,7 @@ impl Device {
             active_ctx: None,
             context_switches: 0,
             fault_log: Vec::new(),
+            faults_total: 0,
             kernel_stats: HashMap::new(),
             launches: 0,
             spec,
@@ -714,14 +718,20 @@ impl Device {
         self.ready.extend(self.blocked.drain(..));
     }
 
-    /// All faults recorded so far.
+    /// Faults recorded and not yet taken by [`Device::take_fault_log`].
     pub fn fault_log(&self) -> &[FaultRecord] {
         &self.fault_log
     }
 
-    /// Clear and return the fault log.
+    /// Clear and return the fault log. A consumer that takes records
+    /// keeps the log bounded however many kernels fault.
     pub fn take_fault_log(&mut self) -> Vec<FaultRecord> {
         std::mem::take(&mut self.fault_log)
+    }
+
+    /// Every fault ever recorded on this device, taken or not.
+    pub fn faults_total(&self) -> u64 {
+        self.faults_total
     }
 
     /// Per-kernel aggregate stats (by kernel name).
@@ -1113,6 +1123,7 @@ impl Device {
             }
             c.finish_time = c.finish_time.max(self.now);
         }
+        self.faults_total += 1;
         self.fault_log.push(FaultRecord {
             ctx,
             stream,

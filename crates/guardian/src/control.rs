@@ -9,9 +9,10 @@
 //!
 //! * [`LeaseSpec`] — the terms a `Connect` is admitted under: a memory
 //!   cap, a stream cap, and a wall-clock TTL. The manager enforces the
-//!   cap at `malloc`, and its control thread sweeps expired leases,
-//!   draining the session through the same barrier + fault-reap path
-//!   migration uses, then reclaiming the partition.
+//!   cap at `malloc`, and its lease-sweeper thread revokes expired
+//!   leases under the control mutex, draining the session through the
+//!   same barrier + fault-reap path migration uses, then reclaiming the
+//!   partition.
 //! * [`TenantCounters`] / [`ControlPlane`] — per-tenant usage counters
 //!   (bytes held, launches, transfers, frames) rolled up per uid — the
 //!   identity the `SO_PEERCRED` gate already established — and per
@@ -258,7 +259,7 @@ fn parse_ttl(s: &str) -> Result<Option<Duration>, String> {
 
 /// Per-tenant usage counters, written lock-free from the data plane
 /// (launches from the dispatch path, frames from the executor drain
-/// loop) and from the serialized control thread (bytes held), read by
+/// loop) and from the serialized control plane (bytes held), read by
 /// the admin plane at scrape time. Relaxed ordering throughout: these
 /// are statistics, not synchronization.
 #[derive(Debug, Default)]
@@ -316,7 +317,7 @@ struct RetiredUsage {
 }
 
 /// The node-level lease/quota registry shared between the manager's
-/// control thread (admission, revocation, accounting) and the admin
+/// control plane (admission, revocation, accounting) and the admin
 /// plane (tables, metrics). All methods take `&self`; interior state is
 /// behind short-lived mutexes sized for hundreds of tenants.
 #[derive(Debug)]
@@ -382,7 +383,7 @@ impl ControlPlane {
         self.overrides.lock().insert(uid, lease);
     }
 
-    /// Record a granted tenancy. Called by the control thread right
+    /// Record a granted tenancy. Called under the control mutex right
     /// after the partition is carved.
     #[allow(clippy::too_many_arguments)]
     pub fn admit(
@@ -425,7 +426,7 @@ impl ControlPlane {
     /// lease revoked down to `besteffort` demotes its latency tenants
     /// in place. Raising the ceiling never promotes live tenants (they
     /// keep what they were granted; a reconnect can request more).
-    /// Returns the demoted client ids so the control thread can
+    /// Returns the demoted client ids so the control plane can
     /// re-class the data plane too.
     pub fn reclass(&self, uid: u32, ceiling: QosClass) -> Vec<u32> {
         let mut demoted = Vec::new();
@@ -522,8 +523,8 @@ impl ControlPlane {
         out
     }
 
-    /// Client ids whose lease TTL has elapsed — the control thread's
-    /// sweep revokes each of these.
+    /// Client ids whose lease TTL has elapsed — the lease sweeper
+    /// revokes each of these.
     pub fn expired(&self) -> Vec<u32> {
         self.tenants
             .lock()

@@ -20,15 +20,16 @@
 //!   ([`transport::shm`]); one connection per tenant, the connection is
 //!   the identity. The socket transports make tenants real OS processes
 //!   (see the `guardiand` daemon crate).
-//! * [`manager`] — the `grdManager` **control plane**: a serialized
-//!   thread owning one partition table (power-of-two, contiguous —
+//! * [`manager`] — the `grdManager` **control plane**: one mutex,
+//!   locked by whichever thread needs a control operation and held
+//!   while it runs there, owning one partition table (power-of-two, contiguous —
 //!   [`alloc`]) and one sandboxed-kernel registry **per GPU** of its
 //!   device set; handles connect (routed across devices by
 //!   [`placement`] — least-loaded, round-robin, or an explicit
 //!   [`PlacementHint`]), disconnect, fatbin/PTX registration,
 //!   malloc/free, live partition **migration** between GPUs, and a
-//!   one-step rebalancer. A one-device set is exactly the single-GPU
-//!   manager.
+//!   one-step rebalancer. Its one thread is the lease sweeper. A
+//!   one-device set is exactly the single-GPU manager.
 //! * `session` (internal) — the **data plane**: one session thread per
 //!   tenant executing transfers, launches, syncs, and events concurrently
 //!   across tenants against read-mostly shared state; checks every host
@@ -76,7 +77,7 @@
 //! // Tenant 0 cannot copy into tenant 1's partition:
 //! assert!(tenants[0].cuda_memcpy_h2d(b, &[0u8; 16]).is_err());
 //! // Teardown is Drop-based: tenants disconnect, then the manager handle
-//! // joins the manager threads. (`Tenancy::shutdown`/`ManagerHandle::
+//! // joins the manager's threads and releases the device. (`Tenancy::shutdown`/`ManagerHandle::
 //! // shutdown` remain as explicit eager paths.)
 //! # Ok::<(), cuda_rt::CudaError>(())
 //! ```

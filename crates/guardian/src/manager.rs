@@ -5,11 +5,16 @@
 //! transport connection ([`crate::transport`]). Server-side the work is
 //! split into two planes:
 //!
-//! * the **control plane** (this module): one serialized thread owning the
-//!   partition table and kernel registry. It assigns each tenant a
-//!   contiguous power-of-two **partition** and serves its allocations from
-//!   it (§4.2.1), and sandboxes + pre-loads every registered fatbin/PTX
-//!   image (§4.2.3, §4.4);
+//! * the **control plane** (this module): the partition table and kernel
+//!   registry behind one mutex. It assigns each tenant a contiguous
+//!   power-of-two **partition** and serves its allocations from it
+//!   (§4.2.1), and sandboxes + pre-loads every registered fatbin/PTX
+//!   image (§4.2.3, §4.4). There is no control thread to hop to: the
+//!   session thread, executor worker or admin handle that needs a
+//!   control operation locks the mutex and runs it in place, so
+//!   operations stay serialized but cost no cross-thread wake-ups. The
+//!   manager's one thread, `grdManager`, is the lease sweeper: every
+//!   [`LEASE_SWEEP`] it takes the same mutex to revoke expired leases;
 //! * the **data plane** ([`crate::session`]): one session thread per
 //!   connected tenant, executing transfers, launches, syncs, and events
 //!   concurrently across tenants against fine-grained shared state —
@@ -27,7 +32,7 @@ use crate::proto::{AdminRequest, AdminResponse};
 use crate::session::{self, Binding, ClientShared, EventTable, GpuShared, KernelTable, Shared};
 use crate::transport::{BoundTransport, Connection, Dialer};
 use crate::{proto, transport};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use cuda_rt::{CudaError, CudaResult, DevicePtr, SharedDevice};
 use gpu_sim::stream::CudaFunction;
 use parking_lot::{Mutex, RwLock};
@@ -352,7 +357,7 @@ pub(crate) struct ClientInfo {
     pub qos: u8,
 }
 
-/// A control-plane operation (serialized through the manager thread).
+/// A control-plane operation (serialized through the control mutex).
 pub(crate) enum CtrlOp {
     Connect {
         mem_requirement: u64,
@@ -425,25 +430,24 @@ pub(crate) enum CtrlOut {
     Rebalanced(Option<(ClientId, u32, u32)>),
 }
 
-/// One message on the control channel. The reply channel is an internal
-/// detail of the in-process control thread — unlike the wire protocol,
-/// control messages never cross the tenant boundary.
-pub(crate) struct CtrlMsg {
-    pub op: CtrlOp,
-    pub reply: Sender<CudaResult<CtrlOut>>,
-}
+/// The serialized control plane behind its one mutex. Session threads,
+/// event-pool workers, the admin plane and the lease sweeper all run
+/// control operations on their own thread by locking it — there is no
+/// control thread to hop to. Cloning shares the same control plane.
+#[derive(Clone)]
+pub(crate) struct Ctrl(Arc<Mutex<Control>>);
 
-/// Round-trip one operation through the control plane.
-pub(crate) fn ctrl_call(ctrl: &Sender<CtrlMsg>, op: CtrlOp) -> CudaResult<CtrlOut> {
-    let (tx, rx) = bounded(1);
-    ctrl.send(CtrlMsg { op, reply: tx })
-        .map_err(|_| CudaError::Disconnected)?;
-    rx.recv().map_err(|_| CudaError::Disconnected)?
+impl Ctrl {
+    /// Run one operation under the control mutex, on the caller's thread.
+    pub(crate) fn call(&self, op: CtrlOp) -> CudaResult<CtrlOut> {
+        self.0.lock().handle(op)
+    }
 }
 
 /// The serialized control plane: sole owner of the per-GPU partition
 /// tables and the fatbin registry, sole writer of the client map, and
-/// the only thread that migrates bindings.
+/// the only code that migrates bindings. Reached only through [`Ctrl`],
+/// so every operation runs with the control mutex held.
 struct Control {
     shared: Arc<Shared>,
     /// One partition pool per GPU, indexed like `shared.gpus`.
@@ -463,9 +467,8 @@ struct Control {
     log_level: LogLevel,
 }
 
-/// How often the control thread wakes to sweep expired leases when no
-/// control traffic arrives (and the floor between two sweeps when it
-/// does). TTL precision is bounded by this.
+/// How often the lease sweeper takes the control mutex to revoke
+/// expired leases. TTL precision is bounded by this.
 const LEASE_SWEEP: std::time::Duration = std::time::Duration::from_millis(25);
 
 fn placement_to_cuda(e: PlacementError) -> CudaError {
@@ -489,34 +492,14 @@ impl Control {
         }
     }
 
-    fn run(mut self, rx: Receiver<CtrlMsg>) {
-        // `recv_timeout` instead of `recv`: leases expire on wall-clock
-        // time, so the control thread must wake even when no tenant is
-        // talking to it.
-        let mut last_sweep = std::time::Instant::now();
-        loop {
-            match rx.recv_timeout(LEASE_SWEEP) {
-                Ok(msg) => {
-                    let r = self.handle(msg.op);
-                    let _ = msg.reply.send(r);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            if last_sweep.elapsed() >= LEASE_SWEEP {
-                for client in self.plane.expired() {
-                    let _ = self.handle(CtrlOp::Revoke {
-                        client: ClientId(client),
-                        expired: true,
-                    });
-                }
-                last_sweep = std::time::Instant::now();
-            }
-        }
-        // All control senders dropped (manager handle + every session):
-        // release each device's context.
-        for g in &self.shared.gpus {
-            let _ = g.device.lock().destroy_context(g.ctx);
+    /// Revoke every tenancy whose lease TTL has elapsed (the sweeper's
+    /// tick).
+    fn sweep_expired(&mut self) {
+        for client in self.plane.expired() {
+            let _ = self.handle(CtrlOp::Revoke {
+                client: ClientId(client),
+                expired: true,
+            });
         }
     }
 
@@ -696,8 +679,8 @@ impl Control {
         let b = *binding;
         self.shared.gpu(b.gpu).device.lock().synchronize();
         self.shared.reap_faults(b.gpu);
-        // Both this teardown and `reclass` run on the serialized control
-        // thread, so the connected-latency-sessions gauge never double
+        // Both this teardown and `reclass` run under the control mutex,
+        // so the connected-latency-sessions gauge never double
         // decrements for one demote-then-disconnect client.
         if state.qos.load(Ordering::SeqCst) == QosClass::Latency.to_wire() {
             self.shared
@@ -751,8 +734,9 @@ impl Control {
         let state = self.client(client)?;
         Shared::check_alive(&state)?;
 
-        // (1) The barrier. Only the control thread ever write-locks a
-        // binding, so this cannot deadlock with another migration.
+        // (1) The barrier. Only control operations ever write-lock a
+        // binding, and they are serialized by the control mutex, so
+        // this cannot deadlock with another migration.
         let mut binding = state.binding.write();
         let src = *binding;
         if src.gpu == dst_gpu {
@@ -1126,6 +1110,30 @@ impl Control {
     }
 }
 
+impl Drop for Control {
+    /// The last holder is gone (manager handle, every session, the
+    /// sweeper, every admin handle): release each device's context.
+    fn drop(&mut self) {
+        for g in &self.shared.gpus {
+            let _ = g.device.lock().destroy_context(g.ctx);
+        }
+    }
+}
+
+/// The `grdManager` thread: revokes expired leases every
+/// [`LEASE_SWEEP`] until `stop` disconnects. Leases expire on wall-clock
+/// time, so something must look even when no tenant is talking.
+fn spawn_sweeper(ctrl: Ctrl, stop: Receiver<()>) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name("grdManager".into())
+        .spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(LEASE_SWEEP) {
+                ctrl.0.lock().sweep_expired();
+            }
+        })
+        .expect("spawn grdManager thread")
+}
+
 /// A handle to a running grdManager. Cloning is cheap; the manager's
 /// threads are joined when the last handle drops (after every client has
 /// disconnected) or eagerly via [`ManagerHandle::shutdown`].
@@ -1142,7 +1150,7 @@ pub struct ManagerHandle {
 }
 
 struct ManagerInner {
-    /// The node's lease/quota registry (shared with the control thread
+    /// The node's lease/quota registry (shared with the control plane
     /// and any admin endpoints serving this manager).
     plane: Arc<ControlPlane>,
     /// Dropped first on shutdown: closes the listener so the acceptor
@@ -1152,9 +1160,11 @@ struct ManagerInner {
     /// shutdown; the in-process channel transport needs none.
     unblock: Option<transport::UnblockFn>,
     devices: Vec<SharedDevice>,
-    ctrl_tx: Option<Sender<CtrlMsg>>,
+    ctrl: Ctrl,
     acceptor: Option<JoinHandle<()>>,
-    control: Option<JoinHandle<()>>,
+    /// Dropped at shutdown: wakes the lease sweeper to exit at once.
+    stop_sweeper: Option<Sender<()>>,
+    sweeper: Option<JoinHandle<()>>,
 }
 
 impl Drop for ManagerInner {
@@ -1171,11 +1181,12 @@ impl Drop for ManagerInner {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        // 3. All session-held control senders are gone now; dropping ours
-        //    lets the control thread drain and exit.
-        self.ctrl_tx.take();
-        if let Some(c) = self.control.take() {
-            let _ = c.join();
+        // 3. Stop the lease sweeper without waiting out its tick. The
+        //    control plane itself (and with it every device context) is
+        //    released when its last holder — usually `ctrl` here — drops.
+        self.stop_sweeper.take();
+        if let Some(s) = self.sweeper.take() {
+            let _ = s.join();
         }
     }
 }
@@ -1294,10 +1305,7 @@ impl ManagerHandle {
     }
 
     fn ctrl(&self, op: CtrlOp) -> CudaResult<CtrlOut> {
-        match &self.inner.ctrl_tx {
-            Some(tx) => ctrl_call(tx, op),
-            None => Err(CudaError::Disconnected),
-        }
+        self.inner.ctrl.call(op)
     }
 
     /// The node's lease/quota registry — lease defaults and overrides,
@@ -1312,11 +1320,7 @@ impl ManagerHandle {
     pub fn admin(&self) -> AdminApi {
         AdminApi {
             plane: self.inner.plane.clone(),
-            ctrl: self
-                .inner
-                .ctrl_tx
-                .clone()
-                .expect("ctrl_tx lives as long as ManagerInner"),
+            ctrl: self.inner.ctrl.clone(),
         }
     }
 
@@ -1346,13 +1350,12 @@ impl ManagerHandle {
 
 /// The admin plane's view of one manager: answers the
 /// [`AdminRequest`] message family by combining the lease/quota
-/// registry with one-shot queries through the serialized control
-/// thread. Cloneable; [`crate::control::serve_admin`] takes one per
-/// endpoint.
+/// registry with one-shot operations under the control mutex.
+/// Cloneable; [`crate::control::serve_admin`] takes one per endpoint.
 #[derive(Clone)]
 pub struct AdminApi {
     plane: Arc<ControlPlane>,
-    ctrl: Sender<CtrlMsg>,
+    ctrl: Ctrl,
 }
 
 impl AdminApi {
@@ -1362,7 +1365,7 @@ impl AdminApi {
     }
 
     fn devices(&self) -> CudaResult<Vec<proto::DeviceInfo>> {
-        match ctrl_call(&self.ctrl, CtrlOp::DeviceInfo)? {
+        match self.ctrl.call(CtrlOp::DeviceInfo)? {
             CtrlOut::Devices(d) => Ok(d),
             _ => Err(CudaError::InvalidValue),
         }
@@ -1396,21 +1399,18 @@ impl AdminApi {
                 self.plane
                     .set_override(uid, LeaseSpec::from_wire(mem_bytes, streams, ttl_ms, qos));
                 // Re-apply the (possibly lowered) QoS ceiling to the
-                // uid's live tenants through the serialized control
-                // thread — it owns the client map and device streams.
-                match ctrl_call(&self.ctrl, CtrlOp::Reclass { uid }) {
+                // uid's live tenants through the control plane — it owns
+                // the client map and device streams.
+                match self.ctrl.call(CtrlOp::Reclass { uid }) {
                     Ok(_) => AdminResponse::Ok { node },
                     Err(e) => err(format!("reclass uid {uid}: {e}")),
                 }
             }
             AdminRequest::LeaseRevoke { client } => {
-                let r = ctrl_call(
-                    &self.ctrl,
-                    CtrlOp::Revoke {
-                        client: ClientId(client),
-                        expired: false,
-                    },
-                );
+                let r = self.ctrl.call(CtrlOp::Revoke {
+                    client: ClientId(client),
+                    expired: false,
+                });
                 match r {
                     Ok(_) => AdminResponse::Ok { node },
                     Err(e) => err(format!("revoke client {client}: {e}")),
@@ -1471,7 +1471,7 @@ pub fn spawn_manager_over(
 }
 
 /// Spawn a grdManager owning a whole **device set**: one partition pool,
-/// kernel registry, and fault cursor per GPU. Tenants are routed across
+/// kernel registry, and fault reaper per GPU. Tenants are routed across
 /// the set at `Connect` by [`ManagerConfig::placement`] or an explicit
 /// [`PlacementHint`], and can be migrated between devices live
 /// ([`ManagerHandle::migrate_partition`]). A one-element set is exactly
@@ -1535,7 +1535,7 @@ pub fn spawn_manager_multi(
             ctx,
             kernels: RwLock::new(KernelTable::default()),
             kernels_gen: AtomicU64::new(0),
-            fault_cursor: Mutex::new(0),
+            reap_lock: Mutex::new(()),
         });
         pools.push(PartitionAllocator::new(pool_base, pool_bytes));
     }
@@ -1584,11 +1584,9 @@ pub fn spawn_manager_multi(
         dialer,
         unblock,
     } = transport_over;
-    let (ctrl_tx, ctrl_rx) = unbounded();
-    let control_join = std::thread::Builder::new()
-        .name("grdManager".into())
-        .spawn(move || control.run(ctrl_rx))
-        .expect("spawn grdManager thread");
+    let ctrl = Ctrl(Arc::new(Mutex::new(control)));
+    let (stop_sweeper, stop_rx) = bounded(0);
+    let sweeper = spawn_sweeper(ctrl.clone(), stop_rx);
     // Resolve the automatic driver here so the acceptor gets a concrete
     // choice: serial dispatch keeps threads (a blocked lockstep enqueue
     // must never stall an executor worker that other sessions share,
@@ -1601,16 +1599,17 @@ pub fn spawn_manager_multi(
         },
         d => d,
     };
-    let acceptor_join = session::spawn_acceptor(listener, shared, ctrl_tx.clone(), driver);
+    let acceptor_join = session::spawn_acceptor(listener, shared, ctrl.clone(), driver);
     Ok(ManagerHandle {
         inner: Arc::new(ManagerInner {
             plane,
             dialer: Some(dialer),
             unblock,
             devices,
-            ctrl_tx: Some(ctrl_tx),
+            ctrl,
             acceptor: Some(acceptor_join),
-            control: Some(control_join),
+            stop_sweeper: Some(stop_sweeper),
+            sweeper: Some(sweeper),
         }),
     })
 }

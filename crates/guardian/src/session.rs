@@ -6,9 +6,9 @@
 //! memcpy, launch, sync, events) directly against fine-grained shared
 //! state, so independent tenants no longer serialize through one manager
 //! queue; **control-plane** operations (connect/disconnect, fatbin/PTX
-//! registration, malloc/free) are forwarded to the serialized control
-//! thread in [`crate::manager`], which remains the only mutator of the
-//! partition table and kernel registry.
+//! registration, malloc/free) run on the session's own thread under the
+//! control mutex of [`crate::manager`], which remains the only mutator
+//! of the partition table and kernel registry.
 //!
 //! Shared state is read-mostly where tenants share it — the
 //! `pointerToSymbol` table behind an `RwLock`, partition bounds immutable
@@ -19,14 +19,13 @@
 use crate::alloc::{Partition, RegionAllocator};
 use crate::control::{QosClass, TenantCounters};
 use crate::manager::{
-    ctrl_call, CtrlMsg, CtrlOp, CtrlOut, DispatchMode, LaunchAck, LaunchStatsAtomic, SessionDriver,
+    Ctrl, CtrlOp, CtrlOut, DispatchMode, LaunchAck, LaunchStatsAtomic, SessionDriver,
 };
 use crate::proto::{ConnectInfo, Payload, Request, Response, StatsSnapshot, Symbol};
 use crate::telemetry::{self, ExecGauges, OpClass, TenantTelemetry, TraceEvent};
 use crate::transport::frame::FrameView;
 use crate::transport::{Connection, Listener};
 use crate::ClientId;
-use crossbeam::channel::Sender;
 use cuda_rt::{CudaError, CudaResult, SharedDevice};
 use gpu_sim::stream::{CudaFunction, ParamBuf, ParamPool};
 use gpu_sim::{Command, CtxId, Event, HostSink, LaunchConfig, MemGuard, StreamId};
@@ -69,8 +68,9 @@ pub(crate) struct GpuShared {
     /// compare against it so a re-registered name is never served from
     /// a stale resolved handle.
     pub kernels_gen: AtomicU64,
-    /// How far into this device's fault log reaping has progressed.
-    pub fault_cursor: Mutex<usize>,
+    /// Serializes fault reaping on this device (see
+    /// [`Shared::reap_faults`]).
+    pub reap_lock: Mutex<()>,
 }
 
 /// A tenant's current placement: which GPU, which stream on it, and the
@@ -91,7 +91,7 @@ pub(crate) struct ClientShared {
     pub id: ClientId,
     /// Set when Guardian terminates the client after OOB detection.
     pub dead: AtomicBool,
-    /// Bumped by the control thread (under the binding write lock,
+    /// Bumped by the control plane (under the binding write lock,
     /// *before* it drains the device) whenever this tenant's placement
     /// is about to change — migration or teardown. Sessions cache the
     /// binding and resolved kernels under the epoch they read, and
@@ -117,7 +117,7 @@ pub(crate) struct ClientShared {
     /// Lease TTL in milliseconds (0 = never expires); immutable.
     pub lease_ttl_ms: u64,
     /// Granted QoS class on the wire encoding ([`QosClass::to_wire`]).
-    /// Written by the control thread — at admission, and again when a
+    /// Written by the control plane — at admission, and again when a
     /// lease override demotes a live latency tenant — and read by the
     /// executor's drain gate, so demotion takes effect on the very next
     /// drain round without a reconnect.
@@ -179,12 +179,15 @@ impl Shared {
         &self.gpus[index as usize]
     }
 
-    /// Scan new faults on one device; a contained trap kills only the
-    /// offending client (§4.2.4 / §5 — OOB fault isolation). Any session
-    /// may reap; the cursor lock is held until the dead flags are stored,
-    /// so a fault consumed by one session's reap is always visible to the
-    /// offender's next `check_alive` (cursor-advanced-but-not-yet-marked
-    /// would let the offender's own sync slip through and return Ok).
+    /// Take new faults off one device's log; a contained trap kills only
+    /// the offending client (§4.2.4 / §5 — OOB fault isolation). Taking
+    /// the records keeps the device log bounded however many tenants
+    /// fault; [`gpu_sim::Device::faults_total`] still counts them. Any
+    /// session may reap; the reap lock is held until the dead flags are
+    /// stored, so a fault consumed by one session's reap is always
+    /// visible to the offender's next `check_alive` (taken-but-not-yet-
+    /// marked would let the offender's own sync slip through and return
+    /// Ok).
     /// Matching uses the clients' lock-free `(gpu_tag, stream_tag)`
     /// mirrors: a fault can only be attributed to a tenant while it is
     /// bound to the faulting device, and migration drains the source
@@ -192,14 +195,14 @@ impl Shared {
     /// a rebind.
     pub(crate) fn reap_faults(&self, gpu: u32) {
         let g = self.gpu(gpu);
-        let mut cursor = g.fault_cursor.lock();
-        let hits: Vec<StreamId> = {
-            let dev = g.device.lock();
-            let log = dev.fault_log();
-            let start = (*cursor).min(log.len());
-            *cursor = log.len();
-            log[start..].iter().map(|f| f.stream).collect()
-        };
+        let _reap = g.reap_lock.lock();
+        let hits: Vec<StreamId> = g
+            .device
+            .lock()
+            .take_fault_log()
+            .into_iter()
+            .map(|f| f.stream)
+            .collect();
         if hits.is_empty() {
             return;
         }
@@ -244,7 +247,7 @@ struct LaunchItem {
 
 /// A session's epoch-validated snapshot of its tenant's placement and the
 /// kernels it has resolved on that placement's device. Valid exactly
-/// while `ClientShared::epoch` still equals `epoch` — the control thread
+/// while `ClientShared::epoch` still equals `epoch` — the control plane
 /// bumps it under the binding write lock before any migration/teardown
 /// drain, so steady-state launches skip `binding.read()` and
 /// `kernels.read()` entirely.
@@ -271,7 +274,7 @@ struct LaunchSpan {
 /// ([`crate::exec`]) both drive one of these.
 pub(crate) struct SessionCtx {
     shared: Arc<Shared>,
-    ctrl: Sender<CtrlMsg>,
+    ctrl: Ctrl,
     client: Option<Arc<ClientShared>>,
     /// Peer uid the transport established at accept (`SO_PEERCRED` for
     /// sockets; our own uid in-process) — the quota identity a Connect
@@ -305,7 +308,7 @@ pub(crate) struct SessionCtx {
 }
 
 impl SessionCtx {
-    pub(crate) fn new(shared: Arc<Shared>, ctrl: Sender<CtrlMsg>, uid: u32) -> Self {
+    pub(crate) fn new(shared: Arc<Shared>, ctrl: Ctrl, uid: u32) -> Self {
         let buffering = shared.launch_ack == LaunchAck::Deferred
             && shared.dispatch == DispatchMode::Concurrent
             && !(shared.native_when_standalone && shared.protection != Protection::None);
@@ -402,7 +405,7 @@ impl SessionCtx {
     pub(crate) fn finish(&mut self) {
         self.flush_pending();
         if let Some(c) = self.client.take() {
-            let _ = ctrl_call(&self.ctrl, CtrlOp::Disconnect { client: c.id });
+            let _ = self.ctrl.call(CtrlOp::Disconnect { client: c.id });
         }
     }
 
@@ -777,7 +780,7 @@ fn build_params(
 pub(crate) fn spawn_acceptor(
     listener: Box<dyn Listener>,
     shared: Arc<Shared>,
-    ctrl: Sender<CtrlMsg>,
+    ctrl: Ctrl,
     driver: SessionDriver,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
@@ -819,7 +822,6 @@ pub(crate) fn spawn_acceptor(
                     .expect("spawn grdSession thread");
                 sessions.push(session);
             }
-            drop(ctrl);
             for s in sessions {
                 let _ = s.join();
             }
@@ -837,10 +839,13 @@ pub(crate) fn run_session(conn: Box<dyn Connection>, mut ctx: SessionCtx) {
         ctx.note_frames(1);
         let frame = FrameView::from(frame);
         let step = ctx.handle_frame(&frame);
-        // The blocking transport has no "more input queued" signal, so
-        // a thread-per-session server flushes after every frame — the
-        // batching win comes from the event-driven executor's drains.
-        ctx.flush_pending();
+        // Batch device enqueue like the executor's drains: while the
+        // transport already holds the next frame, keep admitting. The
+        // `LAUNCH_BUF` cap and the flush at every non-launch ordering
+        // point bound the batch.
+        if !conn.has_queued() {
+            ctx.flush_pending();
+        }
         match step {
             Step::Reply(r) => {
                 if conn.send(r).is_err() {
@@ -886,7 +891,7 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
     let shared = &shared;
     let ctrl = &ctrl;
     match req {
-        // ---- control plane: forwarded to the serialized manager -------
+        // ---- control plane: run here, under the control mutex ---------
         Request::Connect {
             mem_requirement,
             hint,
@@ -900,20 +905,17 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
                 return Some(Response::Error(CudaError::InvalidValue));
             }
             let t0 = telemetry::now_ns();
-            let r = ctrl_call(
-                ctrl,
-                CtrlOp::Connect {
-                    mem_requirement,
-                    hint,
-                    uid,
-                    qos_request: qos,
-                },
-            );
+            let r = ctrl.call(CtrlOp::Connect {
+                mem_requirement,
+                hint,
+                uid,
+                qos_request: qos,
+            });
             Some(match r {
                 Ok(CtrlOut::Connected(info)) => {
                     *client = shared.clients.read().get(&info.id).cloned();
-                    // Connect/admission latency: the control-thread
-                    // round-trip that granted the tenancy.
+                    // Connect/admission latency: the control operation
+                    // that granted the tenancy.
                     if let Some(c) = client.as_ref() {
                         note_op(c, OpClass::Connect, t0);
                     }
@@ -926,13 +928,10 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
         Request::Migrate { device } => {
             let c = require!(client);
             Some(
-                match ctrl_call(
-                    ctrl,
-                    CtrlOp::Migrate {
-                        client: c.id,
-                        dst_gpu: device,
-                    },
-                ) {
+                match ctrl.call(CtrlOp::Migrate {
+                    client: c.id,
+                    dst_gpu: device,
+                }) {
                     Ok(CtrlOut::Connected(info)) => {
                         Response::Connected(connect_info(shared, &info))
                     }
@@ -941,7 +940,7 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
                 },
             )
         }
-        Request::DeviceInfo => Some(match ctrl_call(ctrl, CtrlOp::DeviceInfo) {
+        Request::DeviceInfo => Some(match ctrl.call(CtrlOp::DeviceInfo) {
             Ok(CtrlOut::Devices(devs)) => Response::Devices(devs),
             Ok(_) => Response::Error(CudaError::InvalidValue),
             Err(e) => Response::Error(e),
@@ -964,41 +963,32 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
         }
         Request::Disconnect => {
             if let Some(c) = client.take() {
-                let _ = ctrl_call(ctrl, CtrlOp::Disconnect { client: c.id });
+                let _ = ctrl.call(CtrlOp::Disconnect { client: c.id });
             }
             None
         }
         Request::RegisterFatbin { bytes } => {
             let c = require!(client);
-            Some(unit_reply(ctrl_call(
-                ctrl,
-                CtrlOp::RegisterFatbin {
-                    client: c.id,
-                    bytes: bytes.into_vec(),
-                },
-            )))
+            Some(unit_reply(ctrl.call(CtrlOp::RegisterFatbin {
+                client: c.id,
+                bytes: bytes.into_vec(),
+            })))
         }
         Request::RegisterPtx { name, text } => {
             let c = require!(client);
-            Some(unit_reply(ctrl_call(
-                ctrl,
-                CtrlOp::RegisterPtx {
-                    client: c.id,
-                    name,
-                    text,
-                },
-            )))
+            Some(unit_reply(ctrl.call(CtrlOp::RegisterPtx {
+                client: c.id,
+                name,
+                text,
+            })))
         }
         Request::Malloc { bytes } => {
             let c = require!(client);
             Some(
-                match ctrl_call(
-                    ctrl,
-                    CtrlOp::Malloc {
-                        client: c.id,
-                        bytes,
-                    },
-                ) {
+                match ctrl.call(CtrlOp::Malloc {
+                    client: c.id,
+                    bytes,
+                }) {
                     Ok(CtrlOut::Ptr(p)) => Response::Ptr(p),
                     Ok(_) => Response::Error(CudaError::InvalidValue),
                     Err(e) => Response::Error(e),
@@ -1007,10 +997,7 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
         }
         Request::Free { ptr } => {
             let c = require!(client);
-            Some(unit_reply(ctrl_call(
-                ctrl,
-                CtrlOp::Free { client: c.id, ptr },
-            )))
+            Some(unit_reply(ctrl.call(CtrlOp::Free { client: c.id, ptr })))
         }
 
         // ---- data plane: executed here, concurrently across tenants ---
@@ -1736,6 +1723,57 @@ mod tests {
         let resp = Response::decode(&conn.recv().unwrap()).unwrap();
         assert!(matches!(resp, Response::Unit), "{resp:?}");
         drop(conn);
+        mgr.shutdown();
+    }
+
+    /// Reaping consumes the device's fault records: however many tenants
+    /// fault, the log stays bounded, while the device's monotonic total
+    /// still counts every one of them.
+    #[test]
+    fn reaped_faults_leave_the_device_log_empty() {
+        use ptx_patcher::Protection;
+        let mut fb = FatBin::new();
+        fb.push_ptx("attack", crate::fixtures::STOMP);
+        let mgr = spawn_manager(
+            share_device(Device::new(test_gpu())),
+            ManagerConfig {
+                protection: Protection::Check,
+                pool_bytes: Some(8 << 20),
+                ..ManagerConfig::default()
+            },
+            &[&fb.to_bytes()],
+        )
+        .unwrap();
+        let args = ArgPack::new().ptr(0).u32(0x4141_4141).finish();
+        for _ in 0..1000 {
+            // Departed attackers disconnect asynchronously; retry until
+            // a partition is free again.
+            let mut t = loop {
+                match GrdLib::connect(&mgr, 1 << 20) {
+                    Ok(t) => break t,
+                    Err(_) => std::thread::yield_now(),
+                }
+            };
+            t.cuda_launch_kernel(
+                "stomp",
+                LaunchConfig::linear(1, 1),
+                &args,
+                Default::default(),
+            )
+            .unwrap();
+            assert!(matches!(
+                t.cuda_device_synchronize(),
+                Err(CudaError::Rejected(_))
+            ));
+        }
+        let dev = mgr.device().lock();
+        assert!(
+            dev.fault_log().is_empty(),
+            "{} records",
+            dev.fault_log().len()
+        );
+        assert_eq!(dev.faults_total(), 1000);
+        drop(dev);
         mgr.shutdown();
     }
 }

@@ -550,6 +550,15 @@ impl FrameDecoder {
         }
     }
 
+    /// Whether a complete frame is buffered, so the next
+    /// [`FrameDecoder::next_frame`] yields it without more input.
+    pub fn has_frame(&mut self) -> bool {
+        if self.ready.is_empty() {
+            self.scan();
+        }
+        !self.ready.is_empty()
+    }
+
     /// Whether the decoder holds a partially received frame (or stray
     /// bytes). Used to distinguish clean EOF from mid-frame truncation.
     /// Fully received but not-yet-pulled frames do *not* count — they

@@ -180,6 +180,15 @@ pub trait Connection: Send {
         })
     }
 
+    /// Whether the transport already holds a received frame, so the
+    /// next [`Connection::recv`] returns without waiting on the peer. A
+    /// thread-per-session server keeps admitting launches into one
+    /// device-enqueue batch while this is `true`. The default `false`
+    /// is always correct; it only forgoes that batching.
+    fn has_queued(&self) -> bool {
+        false
+    }
+
     /// Switch the connection into non-blocking event mode. Returns
     /// `true` when the connection can be driven by an epoll executor
     /// (readiness fds from [`Connection::event_fds`] + frames from

@@ -286,6 +286,9 @@ pub struct ShmConnection {
 }
 
 impl ShmConnection {
+    /// Wrap a mapped ring and its handshake socket. The socket goes
+    /// non-blocking here, whoever built it: [`peer_gone`] probes it with
+    /// a `read` that must never wait for bytes.
     fn new(
         map: RawMap,
         sock: UnixStream,
@@ -293,7 +296,9 @@ impl ShmConnection {
         side: Side,
         doorbells: Option<Doorbells>,
         claim: Option<RingClaim>,
-    ) -> Self {
+    ) -> Result<Self, TransportError> {
+        sock.set_nonblocking(true)
+            .map_err(|e| io_err("handshake", &e))?;
         let cap = capacity as u64;
         let c2s = RingRef {
             data: OFF_DATA,
@@ -311,7 +316,7 @@ impl ShmConnection {
             Side::Client => (c2s, s2c, OFF_CLIENT_PARKED, OFF_SERVER_PARKED),
             Side::Server => (s2c, c2s, OFF_SERVER_PARKED, OFF_CLIENT_PARKED),
         };
-        ShmConnection {
+        Ok(ShmConnection {
             map,
             sock,
             send_ring,
@@ -323,7 +328,7 @@ impl ShmConnection {
             my_parked,
             peer_parked,
             _claim: claim,
-        }
+        })
     }
 
     /// After publishing (tail advance) or retiring (head advance): ring
@@ -608,6 +613,17 @@ impl Connection for ShmConnection {
             }
             return Ok(None);
         }
+    }
+
+    fn has_queued(&self) -> bool {
+        // Sub-frames of a batch already lifted off the ring, or bytes
+        // the producer published that we have not consumed yet.
+        if !self.recv_lock.lock().is_empty() {
+            return true;
+        }
+        let r = self.recv_ring;
+        self.map.atomic_u64(r.tail).load(Ordering::Acquire)
+            != self.map.atomic_u64(r.head).load(Ordering::Relaxed)
     }
 
     fn enter_event_mode(&self) -> bool {
@@ -939,8 +955,6 @@ fn complete_server_handshake(
     (&*sock)
         .write_all(&[1])
         .map_err(|e| io_err("handshake", &e))?;
-    sock.set_nonblocking(true)
-        .map_err(|e| io_err("handshake", &e))?;
     Ok((map, capacity, doorbells, claim))
 }
 
@@ -983,6 +997,7 @@ impl PendingShmConnection {
                     let ShmServerState::Pending { sock, .. } = old else {
                         unreachable!("state checked above");
                     };
+                    // A failure here leaves the state `Failed`.
                     *state = ShmServerState::Ready(ShmConnection::new(
                         map,
                         sock,
@@ -990,7 +1005,7 @@ impl PendingShmConnection {
                         Side::Server,
                         doorbells,
                         Some(claim),
-                    ));
+                    )?);
                 }
                 Err(e) => {
                     *state = ShmServerState::Failed;
@@ -1017,6 +1032,13 @@ impl Connection for PendingShmConnection {
 
     fn send_batch(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
         self.with_ready(|c| c.send_batch(frames))
+    }
+
+    fn has_queued(&self) -> bool {
+        match &*self.state.lock() {
+            ShmServerState::Ready(c) => c.has_queued(),
+            _ => false,
+        }
     }
 
     fn try_recv(&self) -> Result<Option<FrameView>, TransportError> {
@@ -1178,8 +1200,6 @@ impl Dialer for ShmDialer {
                 detail: format!("listener rejected ring (ready byte {})", ready[0]),
             });
         }
-        sock.set_nonblocking(true)
-            .map_err(|e| io_err("handshake", &e))?;
         // Both sides hold the mapping; the directory entry can go. After
         // this point even SIGKILL leaks nothing on disk.
         let _ = std::fs::remove_file(&ring_path);
@@ -1194,7 +1214,7 @@ impl Dialer for ShmDialer {
                 peers: server_bell,
             }),
             None,
-        )))
+        )?))
     }
 }
 
@@ -1576,24 +1596,13 @@ mod tests {
         }
     }
 
-    /// A legacy hello (no SCM_RIGHTS doorbells) still yields a working
-    /// connection: the server falls back to the poll-based park.
-    #[test]
-    fn doorbell_less_hello_falls_back_cleanly() {
-        let path = temp_sock("legacyhello");
-        let (listener, _unblock) = ShmListener::bind(&path).unwrap();
-        let accept_thread = std::thread::spawn(move || {
-            let c = listener.accept().unwrap();
-            let f = c.recv().unwrap();
-            c.send(f).unwrap();
-            let start = Instant::now();
-            let r = c.recv();
-            (r, start.elapsed())
-        });
-        // Hand-rolled legacy client: create + map the ring, plain hello.
+    /// Hand-rolled legacy client: create + map the ring, send the plain
+    /// (doorbell-less) hello over a *blocking* socket, wait for the
+    /// ready byte.
+    fn legacy_client(path: &Path, tag: &str) -> ShmConnection {
         let capacity = 4096u32;
         let ring_path =
-            std::env::temp_dir().join(format!("grd-legacy-ring-{}.shm", std::process::id()));
+            std::env::temp_dir().join(format!("grd-legacy-ring-{tag}-{}.shm", std::process::id()));
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -1608,13 +1617,30 @@ mod tests {
             .store(capacity, Ordering::Release);
         map.atomic_u64(OFF_MAGIC)
             .store(SHM_MAGIC, Ordering::Release);
-        let sock = UnixStream::connect(&path).unwrap();
+        let sock = UnixStream::connect(path).unwrap();
         send_hello(&sock, &ring_path, capacity).unwrap();
         let mut ready = [0u8; 1];
         (&sock).read_exact(&mut ready).unwrap();
         assert_eq!(ready[0], 1);
         let _ = std::fs::remove_file(&ring_path);
-        let client = ShmConnection::new(map, sock, capacity, Side::Client, None, None);
+        ShmConnection::new(map, sock, capacity, Side::Client, None, None).unwrap()
+    }
+
+    /// A legacy hello (no SCM_RIGHTS doorbells) still yields a working
+    /// connection: the server falls back to the poll-based park.
+    #[test]
+    fn doorbell_less_hello_falls_back_cleanly() {
+        let path = temp_sock("legacyhello");
+        let (listener, _unblock) = ShmListener::bind(&path).unwrap();
+        let accept_thread = std::thread::spawn(move || {
+            let c = listener.accept().unwrap();
+            let f = c.recv().unwrap();
+            c.send(f).unwrap();
+            let start = Instant::now();
+            let r = c.recv();
+            (r, start.elapsed())
+        });
+        let client = legacy_client(&path, "fallback");
         client.send(vec![42; 10]).unwrap();
         assert_eq!(client.recv().unwrap(), vec![42; 10]);
         // Death detection also works without bells (1 ms fallback poll).
@@ -1624,6 +1650,32 @@ mod tests {
         assert!(
             elapsed < Duration::from_millis(100),
             "fallback park took {elapsed:?} to notice the dead peer"
+        );
+    }
+
+    /// A reply that arrives after the receiver's spin/yield phase *and*
+    /// its first fallback poll: the liveness probe must answer "still
+    /// there", not block in `read` waiting for socket bytes that never
+    /// come — even though the hand-rolled client handed
+    /// `ShmConnection::new` a blocking socket.
+    #[test]
+    fn late_reply_on_a_blocking_handshake_socket_does_not_hang() {
+        let path = temp_sock("legacylate");
+        let (listener, _unblock) = ShmListener::bind(&path).unwrap();
+        let accept_thread = std::thread::spawn(move || {
+            let c = listener.accept().unwrap();
+            let f = c.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            c.send(f).unwrap();
+            c.recv()
+        });
+        let client = legacy_client(&path, "late");
+        client.send(vec![7; 10]).unwrap();
+        assert_eq!(client.recv().unwrap(), vec![7; 10]);
+        drop(client);
+        assert_eq!(
+            accept_thread.join().unwrap(),
+            Err(TransportError::Disconnected)
         );
     }
 }

@@ -293,6 +293,10 @@ impl Connection for UdsConnection {
         }
     }
 
+    fn has_queued(&self) -> bool {
+        self.recv_state.lock().has_frame()
+    }
+
     fn enter_event_mode(&self) -> bool {
         self.event_mode.store(true, Ordering::SeqCst);
         // If the handshake already ran (client halves), flip to

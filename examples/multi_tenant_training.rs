@@ -45,7 +45,7 @@ fn main() {
         "makespan: {:.3} ms simulated, {} kernels launched, {} faults",
         dev.elapsed_secs() * 1e3,
         dev.total_launches(),
-        dev.fault_log().len()
+        dev.faults_total()
     );
     drop(dev);
     // The manager's threads are joined when `tenancy` drops here.

@@ -353,3 +353,246 @@ fn default_pool_is_half_of_total_memory_despite_context_overhead() {
     );
     mgr.shutdown();
 }
+
+/// Aborts the whole test binary if `f` has not returned within `limit`:
+/// a control-plane deadlock must fail the run, not hang it.
+fn with_kill_timeout<R>(limit: std::time::Duration, what: &str, f: impl FnOnce() -> R) -> R {
+    let (done, wait) = std::sync::mpsc::channel::<()>();
+    let what = what.to_string();
+    let watchdog = std::thread::spawn(move || {
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = wait.recv_timeout(limit) {
+            eprintln!("{what}: still running after {limit:?}; presumed deadlocked");
+            std::process::abort();
+        }
+    });
+    let r = f();
+    drop(done);
+    watchdog.join().unwrap();
+    r
+}
+
+/// One tenant lifecycle: register, allocate, write a pattern, fill a
+/// second buffer on the device, read both back, free. Returns whether
+/// both read-backs completed. Any successful read-back must be
+/// byte-exact; an error is allowed — the tenant may have been revoked
+/// or expired, or migrated under its cached pointers (a stale pointer
+/// fails the partition check instead of reading someone else's bytes).
+fn lifecycle(lib: &mut GrdLib, fb: &[u8], tag: u8) -> Result<(), CudaError> {
+    const N: u32 = 256;
+    lib.register_fatbin(fb)?;
+    let pat = lib.cuda_malloc(N as u64)?;
+    let out = lib.cuda_malloc(4 * N as u64)?;
+    let pattern: Vec<u8> = (0..N).map(|i| (i as u8) ^ tag).collect();
+    lib.cuda_memcpy_h2d(pat, &pattern)?;
+    let args = ArgPack::new().ptr(out).u32(N).finish();
+    lib.cuda_launch_kernel(
+        "fill",
+        LaunchConfig::linear(N / 32, 32),
+        &args,
+        Default::default(),
+    )?;
+    lib.cuda_device_synchronize()?;
+    assert_eq!(
+        lib.cuda_memcpy_d2h(pat, N as u64)?,
+        pattern,
+        "pattern read-back"
+    );
+    let filled = lib.cuda_memcpy_d2h(out, 4 * N as u64)?;
+    for i in 0..N {
+        let v = u32::from_le_bytes(filled[i as usize * 4..][..4].try_into().unwrap());
+        assert_eq!(v, i, "fill read-back at {i}");
+    }
+    lib.cuda_free(out)?;
+    lib.cuda_free(pat)
+}
+
+/// Liveness of the inline control plane: tenant threads race connect /
+/// register / malloc / free / disconnect on a 2-GPU manager while other
+/// threads revoke tenants through the admin (`guardianctl`) path, let
+/// short leases expire under the sweeper, migrate partitions, and
+/// rebalance. Nothing may deadlock, and every read-back a tenant gets
+/// back must be byte-exact.
+#[test]
+fn control_plane_survives_racing_lifecycles_revokes_expiry_and_migration() {
+    use guardian::proto::AdminRequest;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const TENANTS: u8 = 6;
+    const RUN: Duration = Duration::from_millis(1500);
+    let mgr = two_gpu_manager(Protection::FenceBitwise, 16 << 20);
+    let admin = mgr.admin();
+    let uid = guardian::transport::peercred::current_uid();
+    let stop = Arc::new(AtomicBool::new(false));
+    let verified = Arc::new(AtomicU64::new(0));
+    let mut churn_errors = 0u64;
+    let (mut revoked, mut migrated) = (0u64, 0u64);
+    with_kill_timeout(Duration::from_secs(120), "control-plane stress", || {
+        std::thread::scope(|s| {
+            let tenants: Vec<_> = (0..TENANTS)
+                .map(|t| {
+                    let (mgr, stop, verified) = (&mgr, &stop, &verified);
+                    s.spawn(move || {
+                        let fb = fatbin();
+                        let mut errors = 0u64;
+                        let mut round = 0u8;
+                        while !stop.load(Ordering::Relaxed) {
+                            round = round.wrapping_add(1);
+                            let hint = round
+                                .is_multiple_of(3)
+                                .then(|| PlacementHint::pin(u32::from(t % 2)));
+                            let Ok(mut lib) = GrdLib::connect_hinted(mgr, 1 << 20, hint) else {
+                                errors += 1; // pool momentarily full
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            for _ in 0..3 {
+                                match lifecycle(&mut lib, &fb, t.wrapping_mul(31) ^ round) {
+                                    Ok(()) => {
+                                        verified.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    Err(_) => {
+                                        errors += 1;
+                                        break;
+                                    }
+                                }
+                            }
+                        }
+                        errors
+                    })
+                })
+                .collect();
+            // guardianctl-path revocation of whoever is live.
+            let revoker = s.spawn(|| {
+                let mut n = 0u64;
+                let mut pick = 0usize;
+                while !stop.load(Ordering::Relaxed) {
+                    let live = mgr.control_plane().tenants_table();
+                    pick = pick.wrapping_add(7);
+                    if let Some(t) = live.get(pick % live.len().max(1)) {
+                        let r = admin.handle(AdminRequest::LeaseRevoke { client: t.client });
+                        if matches!(r, guardian::proto::AdminResponse::Ok { .. }) {
+                            n += 1;
+                        }
+                    }
+                    std::thread::sleep(Duration::from_millis(7));
+                }
+                n
+            });
+            // Short leases for whoever connects in the window — racing
+            // tenants included — plus one idle tenant held until the
+            // sweeper (or the revoker) ends it.
+            let expirer = s.spawn(|| {
+                let lease = |ttl_ms| AdminRequest::LeaseSet {
+                    uid,
+                    mem_bytes: u64::MAX,
+                    streams: u32::MAX,
+                    ttl_ms,
+                    qos: 0,
+                };
+                while !stop.load(Ordering::Relaxed) {
+                    admin.handle(lease(5));
+                    let lib = GrdLib::connect(&mgr, 1 << 20);
+                    admin.handle(lease(0));
+                    if let Ok(mut lib) = lib {
+                        while lib.cuda_device_synchronize().is_ok() {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                    }
+                }
+            });
+            // Operator migrations and rebalance steps.
+            let mover = s.spawn(|| {
+                let mut n = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for t in mgr.control_plane().tenants_table() {
+                        if mgr
+                            .migrate_partition(guardian::ClientId(t.client), 1 - t.device)
+                            .is_ok()
+                        {
+                            n += 1;
+                        }
+                    }
+                    let _ = mgr.rebalance();
+                    std::thread::sleep(Duration::from_millis(3));
+                }
+                n
+            });
+            let start = Instant::now();
+            while start.elapsed() < RUN {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            stop.store(true, Ordering::Relaxed);
+            for t in tenants {
+                churn_errors += t.join().unwrap();
+            }
+            revoked = revoker.join().unwrap();
+            expirer.join().unwrap();
+            migrated = mover.join().unwrap();
+        });
+    });
+    let expired = mgr.control_plane().expired_total.load(Ordering::Relaxed);
+    eprintln!(
+        "verified {} lifecycles; {revoked} revoked, {expired} expired, \
+         {migrated} migrated, {churn_errors} interrupted",
+        verified.load(Ordering::Relaxed)
+    );
+    assert!(
+        verified.load(Ordering::Relaxed) > 0,
+        "no tenant made progress"
+    );
+    assert!(revoked > 0, "the revoker never landed");
+    assert!(expired > 0, "no lease expired under the sweeper");
+    assert!(migrated > 0, "no partition migrated");
+    // Every tenancy is gone: both pools are whole again.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let infos = mgr.device_infos().unwrap();
+        if infos.iter().all(|i| i.used_bytes == 0 && i.tenants == 0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "partitions leaked: {infos:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    mgr.shutdown();
+}
+
+/// Dropping the last handle releases every device context — device
+/// memory returns to what it was before the manager existed — and
+/// returns at once instead of waiting out a lease-sweep tick.
+#[test]
+fn dropping_the_last_handle_releases_every_device_context_promptly() {
+    let devices: Vec<_> = gpu_sim::device_set(vec![test_gpu(), test_gpu()])
+        .into_iter()
+        .map(share_device)
+        .collect();
+    let before: Vec<u64> = devices.iter().map(|d| d.lock().used_bytes()).collect();
+    let fb = fatbin();
+    let mgr = spawn_manager_multi(
+        devices.clone(),
+        ManagerConfig {
+            pool_bytes: Some(16 << 20),
+            ..ManagerConfig::default()
+        },
+        &[&fb],
+        BoundTransport::channel(),
+    )
+    .unwrap();
+    for d in &devices {
+        assert!(d.lock().used_bytes() > before[0], "pool not reserved");
+    }
+    for gpu in 0..2 {
+        let mut t = GrdLib::connect_hinted(&mgr, 2 << 20, Some(PlacementHint::pin(gpu))).unwrap();
+        run_fill(&mut t, 64);
+    }
+    let start = std::time::Instant::now();
+    drop(mgr);
+    let took = start.elapsed();
+    let after: Vec<u64> = devices.iter().map(|d| d.lock().used_bytes()).collect();
+    assert_eq!(after, before, "device contexts outlived the manager");
+    assert!(
+        took < std::time::Duration::from_millis(100),
+        "dropping the last handle took {took:?}"
+    );
+}

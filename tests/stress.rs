@@ -13,7 +13,8 @@ use cuda_rt::{share_device, ArgPack, CudaApi, CudaError};
 use gpu_sim::spec::test_gpu;
 use gpu_sim::{Device, LaunchConfig};
 use guardian::{
-    spawn_manager, DispatchMode, GrdLib, LaunchAck, ManagerConfig, ManagerHandle, Protection,
+    spawn_manager, spawn_manager_over, BoundTransport, DispatchMode, GrdLib, LaunchAck,
+    ManagerConfig, ManagerHandle, Protection, SessionDriver,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -381,5 +382,53 @@ fn deferred_ack_stress_completes() {
     for h in handles {
         h.join().expect("tenant thread");
     }
+    mgr.shutdown();
+}
+
+/// The thread-per-session driver batches device enqueue the way the
+/// event pool does: while the transport already holds the next frame it
+/// keeps admitting launches, so a burst of deferred launches reaches
+/// the device in batches — more than one launch in flight at once, but
+/// never more than the 64-launch buffer — and still executes exactly.
+#[test]
+fn thread_per_session_batches_queued_launches() {
+    const N: u32 = 64;
+    let path = guardian::fixtures::temp_socket_path("tps-batch");
+    let mgr = spawn_manager_over(
+        share_device(Device::new(test_gpu())),
+        ManagerConfig {
+            launch_ack: LaunchAck::Deferred,
+            session_driver: SessionDriver::ThreadPerSession,
+            ..ManagerConfig::default()
+        },
+        &[&stress_fatbin()],
+        BoundTransport::shm(&path).expect("bind shm"),
+    )
+    .expect("spawn manager");
+    let mut lib = GrdLib::dial_shm(&path, 2 << 20).expect("dial shm");
+    let buf = lib.cuda_malloc(4 * N as u64).expect("malloc");
+    lib.cuda_memset(buf, 0xEE, 4 * N as u64).expect("memset");
+    let args = ArgPack::new().ptr(buf).u32(N).finish();
+    for _ in 0..200 {
+        lib.cuda_launch_kernel(
+            "fill",
+            LaunchConfig::linear(2, 32),
+            &args,
+            Default::default(),
+        )
+        .expect("launch");
+    }
+    lib.cuda_device_synchronize().expect("sync");
+    let out = lib.cuda_memcpy_d2h(buf, 4 * N as u64).expect("d2h");
+    for j in 0..N {
+        let v = u32::from_le_bytes(out[j as usize * 4..][..4].try_into().unwrap());
+        assert_eq!(v, j, "fill read-back at {j}");
+    }
+    let depth = mgr.max_concurrent_data_ops();
+    assert!(
+        (2..=64).contains(&depth),
+        "launch batch depth {depth}: want more than one launch per device enqueue, at most 64"
+    );
+    drop(lib);
     mgr.shutdown();
 }
